@@ -37,7 +37,7 @@
 //! vs. the randomized folklore vs. the modern randomized state of the art.
 //! The randomized algorithms are ordinary [`dcme_congest::NodeAlgorithm`]s
 //! with bit-exact [`dcme_congest::WireMessage`] encodings, so they run
-//! unchanged on the sequential, pooled and sharded executors and over the
+//! unchanged on the sequential, parallel and sharded executors and over the
 //! socket transports — bit-for-bit, for a fixed seed.
 
 #![forbid(unsafe_code)]

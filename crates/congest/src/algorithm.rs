@@ -161,9 +161,10 @@ impl<'a, M> Inbox<'a, M> {
 pub trait NodeAlgorithm: Send {
     /// The message type exchanged over edges.
     ///
-    /// `Sync` is required because the pooled executor's workers read their
-    /// nodes' inbox slots concurrently from the shared round arena; message
-    /// types are plain data in practice, so the bound is automatic.
+    /// `Sync` is required because the transports the sharded executor's
+    /// workers share ([`crate::transport::TransportMessage`]) hold messages
+    /// across threads; message types are plain data in practice, so the
+    /// bound is automatic.
     ///
     /// [`WireMessage`](crate::wire::WireMessage) is required because in
     /// CONGEST a message is, by definition, a bounded bit string on a wire:

@@ -2,25 +2,22 @@
 //!
 //! The [`Simulator`](crate::Simulator) owns the *what* of a run (topology,
 //! node state machines, metrics); an [`Executor`] owns the *how* of driving
-//! the synchronous send → deliver → receive loop.  Three strategies ship
+//! the synchronous send → deliver → receive loop.  Two strategies ship
 //! today:
 //!
 //! * [`SequentialExecutor`] — the reference implementation: one thread, one
 //!   pass over the active set per phase.
-//! * [`PooledExecutor`] — a persistent worker pool: scoped threads are
-//!   spawned **once per run** and coordinate the per-round phases through a
-//!   poison-aware phase barrier, instead of re-chunking and re-spawning
-//!   threads twice per round.
 //! * [`ShardedExecutor`] — runs a [`ShardedTopology`]: one worker per
 //!   shard, each owning its shard's inbox slots outright (no shared arena
 //!   lock); only cross-shard messages travel, through per-shard-pair
 //!   staging queues.  See the protocol below.
+//!   [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel) runs this
+//!   executor over a topology sharded into one shard per thread.
 //!
-//! All strategies are generic over [`TopologyView`] (sequential and pooled
-//! run on either representation; sharded requires the shard structure),
-//! share the per-run [`RoundState`] arena and are required to be
-//! *bit-for-bit equivalent*: same outputs, same metrics (up to wall-clock
-//! phase timings), regardless of thread or shard count.  Tests assert this.
+//! Both strategies share the per-run [`RoundState`] arena and are required
+//! to be *bit-for-bit equivalent*: same outputs, same metrics (up to
+//! wall-clock phase timings), regardless of shard count.  Tests assert
+//! this.
 //!
 //! # The zero-allocation round loop
 //!
@@ -37,23 +34,8 @@
 //! * **Active-set compaction** — the engine iterates a compact list of
 //!   still-active node ids and shrinks it as nodes halt, so halted nodes
 //!   stop costing even an `is_halted()` check per round.
-//! * **Outbox staging** — send results are staged in reusable buffers
-//!   (per-worker mailboxes in the pooled executor) whose capacity persists
-//!   across rounds.
-//!
-//! # Pooled barrier protocol
-//!
-//! Each worker owns a contiguous chunk of nodes for the whole run.  Per
-//! round the pool crosses four barriers: **A** (the coordinator has published
-//! the round number / stop flag) → workers run the send phase into their
-//! mailboxes → **B** → the coordinator clears last round's slots and
-//! delivers all staged outboxes into the arena → **C** → workers run the
-//! receive phase against read-locked slot views, compact their local active
-//! lists and publish the new counts → **D** → the coordinator sums the
-//! counts and decides the next round.  A panic in any phase (user algorithm
-//! code or delivery validation) poisons the pool at the next barrier so all
-//! parties unwind together and the original panic is re-thrown — never a
-//! deadlocked barrier.
+//! * **Outbox staging** — send results are staged in reusable buffers whose
+//!   capacity persists across rounds.
 //!
 //! # Sharded delivery protocol
 //!
@@ -61,8 +43,10 @@
 //! [`ShardedTopology`].  Worker `w` owns, exclusively and lock-free, the
 //! slice of inbox slots belonging to shard `w`'s nodes (the arena's flat
 //! slot vector is split by the shard slot ranges), so **every write to a
-//! slot is performed by the worker that owns it**.  Cross-shard messages
-//! travel through a pluggable [`Transport`] (see [`crate::transport`]):
+//! slot is performed by the worker that owns it**.  The workers and the
+//! coordinator (the calling thread) cross four barriers per round, A to D.
+//! Cross-shard messages travel through a pluggable [`Transport`] (see
+//! [`crate::transport`]):
 //!
 //! 1. **Send + route + flush** (barrier A → B): worker `w` clears its
 //!    slots touched last round, runs the send phase for its active nodes,
@@ -89,19 +73,24 @@
 //!    is counted in `RunMetrics::stale_overwrites`.
 //! 3. **Receive** (C → D): worker `w` hands its nodes their inbox views
 //!    (plain slices of its own slots), compacts its active list and
-//!    publishes the count; the coordinator sums counts and decides the
-//!    next round, exactly like the pooled protocol.
+//!    publishes the count (barrier D); the coordinator sums counts and
+//!    decides the next round, publishing it before barrier A.
 //!
 //! Per-worker message/bit/phase-time counters are merged into
 //! [`RunMetrics`] in shard order when the run ends, so the totals are
 //! deterministic; `RunMetrics::shard_phase_nanos` additionally keeps the
 //! per-shard phase times, and the intra/cross split is reported in
 //! `RunMetrics::{intra,cross}_shard_messages`.
+//!
+//! A panic in any phase (user algorithm code, delivery validation or a
+//! transport error) poisons the barrier, so every party unwinds at the same
+//! crossing and the original panic is re-thrown — never a deadlocked
+//! barrier (see `PhaseSync`).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
@@ -128,7 +117,7 @@ pub struct RoundState<M> {
     /// Compact list of currently-active node ids (sequential executor).
     active: Vec<NodeId>,
     /// Staged `(sender, outbox)` pairs of the current round (sequential
-    /// executor; the pooled executor stages in per-worker mailboxes).
+    /// executor).
     staged: Vec<(NodeId, Outbox<M>)>,
 }
 
@@ -223,8 +212,8 @@ impl<M: MessageSize + Clone> RoundState<M> {
 /// representation `T`.
 ///
 /// The trait is generic over [`TopologyView`] so a strategy can either work
-/// with any representation ([`SequentialExecutor`] and [`PooledExecutor`]
-/// implement `Executor<T>` for every `T: TopologyView`) or demand a specific
+/// with any representation ([`SequentialExecutor`] implements
+/// `Executor<T>` for every `T: TopologyView`) or demand a specific
 /// one ([`ShardedExecutor`] implements only `Executor<ShardedTopology>`,
 /// because it needs the shard layout).
 ///
@@ -407,37 +396,6 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
     }
 }
 
-/// The persistent-pool executor: `threads` scoped workers are spawned once
-/// per run, each owning a contiguous chunk of nodes, and the per-round
-/// phases are coordinated through barriers (see the [module docs](self) for
-/// the protocol).  Bit-for-bit equivalent to [`SequentialExecutor`].
-#[derive(Debug, Clone, Copy)]
-pub struct PooledExecutor {
-    threads: usize,
-}
-
-impl PooledExecutor {
-    /// Creates a pool of `threads` workers (at least 1).
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-/// Per-worker staging shared with the coordinator: the worker fills it
-/// during the send phase and publishes its active count after the receive
-/// phase; the coordinator drains it during delivery.
-struct Mailbox<M> {
-    outboxes: Vec<(NodeId, Outbox<M>)>,
-    active: usize,
-}
-
 /// Per-round signals published by the coordinator before barrier A.
 struct RoundSignal {
     round: AtomicU64,
@@ -447,7 +405,7 @@ struct RoundSignal {
 /// Barrier synchronisation with panic poisoning.
 ///
 /// Every phase body runs inside [`PhaseSync::guard`]; a panic is captured,
-/// the pool is flagged as poisoned, and the panicking party still reaches
+/// the run is flagged as poisoned, and the panicking party still reaches
 /// its next barrier.  The first captured payload is re-thrown to the caller
 /// by [`PhaseSync::rethrow`].
 ///
@@ -456,7 +414,7 @@ struct RoundSignal {
 /// **at the instant a crossing completes** and stamped into that
 /// generation.  Reading an atomic flag *after* a standard barrier crossing
 /// is racy: a descheduled party could perform its read only after a later
-/// phase has already poisoned the pool, see a different verdict than its
+/// phase has already poisoned the run, see a different verdict than its
 /// peers, and exit early — leaving the remaining parties deadlocked at the
 /// next crossing.  With a per-generation verdict every party of a crossing
 /// observes the same decision no matter when it wakes, so all parties
@@ -494,7 +452,7 @@ impl PhaseSync {
     }
 
     /// Runs one phase body, capturing a panic instead of unwinding through
-    /// the pool.  `AssertUnwindSafe` is sound here because after a poisoning
+    /// the barrier.  `AssertUnwindSafe` is sound here because after a poisoning
     /// panic the possibly-inconsistent node/arena state is never touched
     /// again: every party exits at the next barrier and the panic is
     /// re-thrown.
@@ -511,7 +469,7 @@ impl PhaseSync {
         }
     }
 
-    /// Crosses the barrier; returns `false` if the pool was poisoned when
+    /// Crosses the barrier; returns `false` if the run was poisoned when
     /// the crossing completed.  The verdict is stamped per generation, so
     /// every party of one crossing gets the same answer and all parties
     /// exit the protocol at the same crossing.
@@ -549,299 +507,6 @@ impl PhaseSync {
     }
 }
 
-impl<T: TopologyView> Executor<T> for PooledExecutor {
-    fn drive<A: NodeAlgorithm>(
-        &self,
-        topology: &T,
-        nodes: &mut [A],
-        contexts: &[NodeContext],
-        state: &mut RoundState<A::Message>,
-        max_rounds: u64,
-        metrics: &mut RunMetrics,
-        tracer: &dyn TraceSink,
-    ) {
-        let n = nodes.len();
-        let chunk = n.div_ceil(self.threads).max(1);
-        let workers = n.div_ceil(chunk); // number of nonempty chunks (0 if n == 0)
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent::RunStart {
-                nodes: n,
-                shards: 1,
-            });
-        }
-
-        let arena = RwLock::new(std::mem::take(state));
-        let signal = RoundSignal {
-            round: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        };
-        let sync = PhaseSync::new(workers + 1);
-        let mailboxes: Vec<Mutex<Mailbox<A::Message>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(Mailbox {
-                    outboxes: Vec::new(),
-                    active: 0,
-                })
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            for (w, (node_chunk, ctx_chunk)) in nodes
-                .chunks_mut(chunk)
-                .zip(contexts.chunks(chunk))
-                .enumerate()
-            {
-                let base = w * chunk;
-                let (arena, signal, sync, mailbox) = (&arena, &signal, &sync, &mailboxes[w]);
-                scope.spawn(move || {
-                    worker_loop(
-                        topology, node_chunk, ctx_chunk, base, arena, signal, sync, mailbox,
-                    );
-                });
-            }
-            coordinate(
-                topology, &arena, &signal, &sync, &mailboxes, max_rounds, metrics, tracer,
-            );
-        });
-
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent::RunEnd {
-                rounds: metrics.rounds,
-            });
-        }
-        *state = arena.into_inner().unwrap_or_else(|e| e.into_inner());
-        sync.rethrow();
-    }
-}
-
-/// The per-worker half of the pooled barrier protocol.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<A: NodeAlgorithm, T: TopologyView>(
-    topology: &T,
-    nodes: &mut [A],
-    contexts: &[NodeContext],
-    base: NodeId,
-    arena: &RwLock<RoundState<A::Message>>,
-    signal: &RoundSignal,
-    sync: &PhaseSync,
-    mailbox: &Mutex<Mailbox<A::Message>>,
-) {
-    // Local compact active set (global node ids); compaction never leaves
-    // this worker, only the count is published.
-    let mut active: Vec<NodeId> = Vec::new();
-    sync.guard(|| {
-        active.extend(
-            (0..nodes.len())
-                .filter(|&i| !nodes[i].is_halted())
-                .map(|i| base + i),
-        );
-        mailbox.lock().expect("mailbox lock").active = active.len();
-    });
-    if !sync.sync() {
-        return; // ready barrier
-    }
-
-    loop {
-        if !sync.sync() {
-            return; // A: round decision published
-        }
-        if signal.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let round = signal.round.load(Ordering::SeqCst);
-
-        // --- Send phase: stage outboxes in the worker's mailbox ---------
-        sync.guard(|| {
-            let mut mb = mailbox.lock().expect("mailbox lock");
-            for &v in &active {
-                let ctx = NodeContext {
-                    round,
-                    ..contexts[v - base]
-                };
-                let outbox = nodes[v - base].send(&ctx);
-                if !outbox.is_silent() {
-                    mb.outboxes.push((v, outbox));
-                }
-            }
-        });
-        if !sync.sync() {
-            return; // B: all sends staged — coordinator delivers
-        }
-        if !sync.sync() {
-            return; // C: delivery done — slots are readable
-        }
-
-        // --- Receive phase: read slot views, compact, publish count -----
-        sync.guard(|| {
-            {
-                let st = arena.read().expect("arena read lock");
-                for &v in &active {
-                    let ctx = NodeContext {
-                        round,
-                        ..contexts[v - base]
-                    };
-                    let inbox = st.inbox(topology, v);
-                    nodes[v - base].receive(&ctx, &inbox);
-                }
-            }
-            active.retain(|&v| !nodes[v - base].is_halted());
-            mailbox.lock().expect("mailbox lock").active = active.len();
-        });
-        if !sync.sync() {
-            return; // D: all receives done — coordinator decides
-        }
-    }
-}
-
-/// The coordinator half of the pooled barrier protocol (runs on the calling
-/// thread inside the worker scope).  Trace events are emitted coordinator-
-/// side only (as shard 0): phase windows are coordinator-measured anyway,
-/// and per-round traffic comes from the metrics deltas of the delivery
-/// phase, so workers stay uninstrumented.
-#[allow(clippy::too_many_arguments)]
-fn coordinate<M: MessageSize + Clone, T: TopologyView>(
-    topology: &T,
-    arena: &RwLock<RoundState<M>>,
-    signal: &RoundSignal,
-    sync: &PhaseSync,
-    mailboxes: &[Mutex<Mailbox<M>>],
-    max_rounds: u64,
-    metrics: &mut RunMetrics,
-    tracer: &dyn TraceSink,
-) {
-    let traced = tracer.enabled();
-    let mut round: u64 = 0;
-    if sync.sync() {
-        // ready: initial active counts are published
-        loop {
-            let mut proceed = false;
-            sync.guard(|| {
-                let total: usize = mailboxes
-                    .iter()
-                    .map(|m| m.lock().expect("mailbox lock").active)
-                    .sum();
-                if total == 0 {
-                    signal.stop.store(true, Ordering::SeqCst);
-                } else if round >= max_rounds {
-                    metrics.hit_round_cap = true;
-                    signal.stop.store(true, Ordering::SeqCst);
-                } else {
-                    metrics.active_per_round.push(total);
-                    if traced {
-                        tracer.emit(&TraceEvent::RoundStart {
-                            round,
-                            active: total,
-                        });
-                    }
-                    signal.round.store(round, Ordering::SeqCst);
-                    proceed = true;
-                }
-            });
-            if !sync.sync() {
-                break; // A
-            }
-            if !proceed {
-                break;
-            }
-
-            if traced {
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Send,
-                });
-            }
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // B: workers ran the send phase in this window
-            }
-            let send_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.send += send_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Send,
-                    nanos: send_d,
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Deliver,
-                });
-            }
-
-            let t = Instant::now();
-            let (m0, b0) = (metrics.messages, metrics.total_bits);
-            sync.guard(|| {
-                let mut st = arena.write().expect("arena write lock");
-                st.clear_round();
-                for mb in mailboxes {
-                    let mut mb = mb.lock().expect("mailbox lock");
-                    for (v, outbox) in mb.outboxes.drain(..) {
-                        st.deliver(topology, v, outbox, metrics);
-                    }
-                }
-            });
-            if !sync.sync() {
-                break; // C
-            }
-            let deliver_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.deliver += deliver_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Deliver,
-                    nanos: deliver_d,
-                });
-                tracer.emit(&TraceEvent::ShardRound {
-                    round,
-                    shard: 0,
-                    messages: metrics.messages - m0,
-                    bits: metrics.total_bits - b0,
-                    cross: 0,
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Receive,
-                });
-            }
-
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // D: workers ran the receive phase in this window
-            }
-            let receive_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.receive += receive_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Receive,
-                    nanos: receive_d,
-                });
-                // Workers published their post-compaction counts before D,
-                // and won't touch them again until after the next A guard —
-                // so this traced-only read is race-free.
-                let remaining: usize = mailboxes
-                    .iter()
-                    .map(|m| m.lock().expect("mailbox lock").active)
-                    .sum();
-                tracer.emit(&TraceEvent::RoundEnd {
-                    round,
-                    active: remaining,
-                    nanos: send_d + deliver_d + receive_d,
-                });
-            }
-
-            round += 1;
-        }
-    }
-    metrics.rounds = round;
-}
-
 /// The shard-owning executor: one worker per shard of a [`ShardedTopology`],
 /// each with exclusive, lock-free ownership of its shard's inbox slots;
 /// cross-shard messages travel through a pluggable [`Transport`] backend.
@@ -855,7 +520,7 @@ fn coordinate<M: MessageSize + Clone, T: TopologyView>(
 /// [`SocketLoopback`](crate::transport::SocketLoopback) to push every
 /// cross-shard message through a wire-encoded kernel socket.
 ///
-/// Unlike the other executors this one is tied to `ShardedTopology` (it
+/// Unlike [`SequentialExecutor`] this one is tied to `ShardedTopology` (it
 /// implements only `Executor<ShardedTopology>`): the shard layout *is* its
 /// parallelisation strategy, so it takes no thread-count parameter — the
 /// topology's shard count decides.

@@ -84,9 +84,7 @@ pub mod wire;
 
 pub use algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
 pub use bandwidth::BandwidthReport;
-pub use executor::{
-    DeliveryMode, Executor, PooledExecutor, RoundState, SequentialExecutor, ShardedExecutor,
-};
+pub use executor::{DeliveryMode, Executor, RoundState, SequentialExecutor, ShardedExecutor};
 pub use faults::{
     run_faulty, FaultEvent, FaultKind, FaultPlan, FaultyRun, FaultyTransport, InvariantViolation,
 };

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// in nanoseconds.
 ///
 /// Filled in by every [`Executor`](crate::executor::Executor); for the
-/// pooled executor the phases are measured by the coordinator between
+/// sharded executor the phases are measured by the coordinator between
 /// barrier crossings, so they include the (small, constant) barrier
 /// overhead.  Timings are *measurements*, not semantics: the equivalence
 /// guarantee between executors covers every other metric field but not

@@ -1,10 +1,10 @@
 //! Edge-partitioned sharded topology for `n ≥ 10^7` graphs.
 //!
 //! [`ShardedTopology`] stores the same port-numbered communication graph as
-//! [`Topology`], but partitioned into `S` contiguous
+//! [`Topology`](crate::Topology), but partitioned into `S` contiguous
 //! node-range *shards*, each holding its own CSR slice.  The representation
-//! is built for two things the single-arena [`Topology`] cannot do at the
-//! `n ≥ 10^7` scale the ROADMAP targets:
+//! is built for two things the single-arena [`Topology`](crate::Topology)
+//! cannot do at the `n ≥ 10^7` scale the ROADMAP targets:
 //!
 //! * **Streaming construction** — [`ShardedTopology::from_edge_stream`]
 //!   consumes the edge list as a replayable *stream* (two passes: degree
@@ -49,14 +49,14 @@
 //! # Compact indexing
 //!
 //! Neighbour ids, reverse ports and destination slots are stored as `u32`
-//! (half the memory of the `usize`-based [`Topology`] —
+//! (half the memory of the `usize`-based [`Topology`](crate::Topology) —
 //! the difference between fitting a `10^7`-node graph in RAM or not).
 //! Graphs whose node count or directed-edge count exceeds `u32::MAX` are
 //! rejected with [`TopologyError::NodeRangeOverflow`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::{NodeId, Port, Topology, TopologyError, TopologyView};
+use crate::topology::{NodeId, Port, TopologyError, TopologyView};
 use crate::wire::{get_u32, get_u64, put_u32, put_u64, WireError};
 
 /// The largest node count / directed-edge count the compact `u32`
@@ -423,7 +423,7 @@ impl ShardedTopology {
     ///   count exceeds `u32::MAX`;
     /// * [`TopologyError::NodeOutOfRange`] / [`TopologyError::SelfLoop`] /
     ///   [`TopologyError::DuplicateEdge`] exactly as
-    ///   [`Topology::from_edges`] reports them.
+    ///   [`Topology::from_edges`](crate::Topology::from_edges) reports them.
     pub fn from_edge_stream<F>(
         n: usize,
         num_shards: usize,
@@ -553,12 +553,15 @@ impl ShardedTopology {
         })
     }
 
-    /// Shards an already-built [`Topology`] (mainly for tests and for
-    /// workloads whose graph already fits in one arena).
+    /// Shards an already-built topology (mainly for tests, for workloads
+    /// whose graph already fits in one arena, and for
+    /// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel)).
     ///
-    /// The result is structurally identical to the source: same port
-    /// numbering, same flat slot contract, so runs are bit-for-bit
-    /// reproducible across the two representations.
+    /// Each undirected edge is streamed once, as the pair `v < u` read off
+    /// [`TopologyView::neighbor_at`].  The result is structurally identical
+    /// to the source: same node ids, same port numbering (both builders
+    /// sort every port list), same flat slot contract, so runs are
+    /// bit-for-bit reproducible across the two representations.
     ///
     /// # Errors
     ///
@@ -566,10 +569,18 @@ impl ShardedTopology {
     /// [`TopologyError::NodeRangeOverflow`] as in
     /// [`ShardedTopology::from_edge_stream`]; the edge list itself is
     /// already validated.
-    pub fn from_topology(topology: &Topology, num_shards: usize) -> Result<Self, TopologyError> {
+    pub fn from_topology(
+        topology: &impl TopologyView,
+        num_shards: usize,
+    ) -> Result<Self, TopologyError> {
         Self::from_edge_stream(topology.num_nodes(), num_shards, |emit| {
-            for (u, v) in topology.edges() {
-                emit(u, v);
+            for v in 0..topology.num_nodes() {
+                for p in 0..topology.degree(v) {
+                    let u = topology.neighbor_at(v, p);
+                    if v < u {
+                        emit(v, u);
+                    }
+                }
             }
         })
     }
@@ -1109,6 +1120,7 @@ impl TopologyView for ShardedTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     /// Asserts the sharded and dense representations describe the exact
     /// same port-numbered graph (same flat slot contract included).

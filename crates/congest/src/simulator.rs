@@ -4,19 +4,17 @@
 //! [`NodeAlgorithm`] instance per vertex) through synchronous rounds until
 //! every node has halted or a configurable round cap is reached.  The round
 //! loop itself is delegated to an [`Executor`] — see [`crate::executor`] for
-//! the zero-allocation [`RoundState`] arena and the three shipped
-//! strategies:
+//! the zero-allocation [`RoundState`] arena and the two shipped strategies:
 //!
 //! * [`SequentialExecutor`] — the reference implementation; trivially
 //!   deterministic.
-//! * [`PooledExecutor`] — a persistent worker pool (scoped threads spawned
-//!   once per run, phases coordinated by barriers).  Because a round's sends
-//!   depend only on state from the previous round and receives only touch
-//!   node-local state, the result is bit-for-bit identical to the sequential
-//!   executor (asserted by unit and integration tests).
-//! * [`ShardedExecutor`](crate::executor::ShardedExecutor) — one worker per
-//!   shard of a [`ShardedTopology`](crate::sharded::ShardedTopology), driven
-//!   through [`Simulator::run_with_executor`]; same bit-for-bit guarantee.
+//! * [`ShardedExecutor`] — one worker per shard of a [`ShardedTopology`],
+//!   driven through [`Simulator::run_with_executor`].  Because a round's
+//!   sends depend only on state from the previous round and receives only
+//!   touch node-local state, the result is bit-for-bit identical to the
+//!   sequential executor (asserted by unit and integration tests).
+//!   [`ExecutionMode::Parallel`] runs it over the simulator's topology split
+//!   into one shard per thread.
 //!
 //! The engine also performs CONGEST accounting: every transmitted message is
 //! charged its [`crate::MessageSize::bit_size`] — including messages addressed to
@@ -35,8 +33,9 @@
 //! built on the same semantics.
 
 use crate::algorithm::{NodeAlgorithm, NodeContext};
-use crate::executor::{Executor, PooledExecutor, RoundState, SequentialExecutor};
+use crate::executor::{Executor, RoundState, SequentialExecutor, ShardedExecutor};
 use crate::metrics::RunMetrics;
+use crate::sharded::ShardedTopology;
 use crate::topology::{Topology, TopologyView};
 use crate::trace::{NoTrace, TraceSink};
 
@@ -44,16 +43,18 @@ use crate::trace::{NoTrace, TraceSink};
 ///
 /// This is the declarative configuration surface; each variant maps to an
 /// [`Executor`] implementation (`Sequential` → [`SequentialExecutor`],
-/// `Parallel` → [`PooledExecutor`]).  Use [`Simulator::run_with_executor`]
-/// to supply a custom strategy directly.
+/// `Parallel` → [`ShardedExecutor`] over the topology split into `threads`
+/// shards).  Use [`Simulator::run_with_executor`] to supply a custom
+/// strategy directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Process nodes one after another on the calling thread.
     #[default]
     Sequential,
-    /// Process nodes on a persistent pool of worker threads.
+    /// Process nodes on one worker thread per shard of a contiguous
+    /// node-range split of the topology.
     Parallel {
-        /// Number of worker threads (at least 1).
+        /// Number of worker threads, i.e. shards (0 runs as 1).
         threads: usize,
     },
 }
@@ -88,11 +89,10 @@ pub struct RunOutcome<O> {
 /// The synchronous round engine for a fixed topology.
 ///
 /// Generic over the topology representation: the default `T = Topology` is
-/// the single-arena CSR; pass a
-/// [`ShardedTopology`](crate::sharded::ShardedTopology) to run on the
-/// edge-partitioned representation (any executor works on it; the
-/// [`ShardedExecutor`](crate::executor::ShardedExecutor) additionally
-/// exploits the shard layout via [`Simulator::run_with_executor`]).
+/// the single-arena CSR; pass a [`ShardedTopology`] to run on the
+/// edge-partitioned representation (the sequential executor works on
+/// either; the [`ShardedExecutor`] additionally exploits the shard layout
+/// via [`Simulator::run_with_executor`]).
 pub struct Simulator<'a, T: TopologyView = Topology> {
     topology: &'a T,
     config: SimulatorConfig,
@@ -143,12 +143,23 @@ impl<'a, T: TopologyView> Simulator<'a, T> {
     ///
     /// Panics if `nodes.len()` differs from the number of vertices, or if an
     /// algorithm violates the port contract (sends on a nonexistent port, or
-    /// twice over the same port in one round).
+    /// twice over the same port in one round).  Under
+    /// [`ExecutionMode::Parallel`] it also panics if the topology exceeds
+    /// the sharded representation's `u32` indexing.
     pub fn run<A: NodeAlgorithm>(&self, nodes: Vec<A>) -> RunOutcome<A::Output> {
         match self.config.mode {
             ExecutionMode::Sequential => self.run_with_executor(nodes, &SequentialExecutor),
             ExecutionMode::Parallel { threads } => {
-                self.run_with_executor(nodes, &PooledExecutor::new(threads))
+                // Same node ids and port numbering as `self.topology`, so
+                // the run is bit-for-bit the sequential one.
+                let sharded = ShardedTopology::from_topology(self.topology, threads.max(1))
+                    .unwrap_or_else(|e| panic!("cannot shard the topology: {e}"));
+                Simulator {
+                    topology: &sharded,
+                    config: self.config,
+                    tracer: self.tracer,
+                }
+                .run_with_executor(nodes, &ShardedExecutor::new())
             }
         }
     }
@@ -156,8 +167,7 @@ impl<'a, T: TopologyView> Simulator<'a, T> {
     /// Runs the algorithm under an explicit [`Executor`] strategy.
     ///
     /// This is the seam execution backends plug into without touching
-    /// [`Simulator::run`] callers — the
-    /// [`ShardedExecutor`](crate::executor::ShardedExecutor) is driven this
+    /// [`Simulator::run`] callers — the [`ShardedExecutor`] is driven this
     /// way (it implements `Executor<ShardedTopology>` only).  The
     /// configuration's [`ExecutionMode`] is ignored; its `max_rounds` still
     /// applies.
@@ -274,7 +284,7 @@ mod tests {
         }
     }
 
-    /// Asserts sequential/pooled/sharded bit-for-bit equivalence on one
+    /// Asserts sequential/parallel/sharded bit-for-bit equivalence on one
     /// workload (`threads` worker threads, and shard counts 1–3).
     fn assert_equivalent(g: &Topology, ttls: &[u64], threads: usize) {
         let mk = |n: usize, ttls: &[u64]| -> Vec<GossipSum> {
@@ -376,8 +386,8 @@ mod tests {
     #[test]
     fn pool_handles_staggered_halting() {
         // Nodes halt at staggered rounds, exercising active-set compaction
-        // in every worker chunk.
-        let n = 61; // prime, so chunks cut across the ttl pattern
+        // in every shard.
+        let n = 61; // prime, so shards cut across the ttl pattern
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let g = Topology::from_edges(n, &edges).unwrap();
         let ttls: Vec<u64> = (0..n).map(|v| 1 + (v as u64 * 7) % 13).collect();
@@ -400,8 +410,19 @@ mod tests {
 
     #[test]
     fn pool_with_more_threads_than_nodes() {
+        // 16 shards over 3 nodes: the empty shards are padded, not rejected.
         let g = triangle();
         assert_equivalent(&g, &[2, 2, 2], 16);
+    }
+
+    #[test]
+    fn parallel_with_zero_threads_runs_as_one_shard() {
+        let g = triangle();
+        assert_equivalent(&g, &[2, 2, 2], 0);
+        let out = Simulator::with_config(&g, parallel_config(0))
+            .run((0..3).map(|_| GossipSum::new(2)).collect::<Vec<_>>());
+        assert_eq!(out.metrics.shard_phase_nanos.len(), 1);
+        assert_eq!(out.metrics.cross_shard_messages, 0);
     }
 
     #[test]
@@ -562,8 +583,8 @@ mod tests {
         let _ = Simulator::new(&g).run(vec![DoubleSend, DoubleSend]);
     }
 
-    /// Panics in `send` at round 1 on one node; the pool must propagate the
-    /// panic instead of deadlocking at a barrier.
+    /// Panics in `send` at round 1 on one node; the parallel workers must
+    /// propagate the panic instead of deadlocking at a barrier.
     #[derive(Clone)]
     struct PanicsAtRoundOne;
     impl NodeAlgorithm for PanicsAtRoundOne {
@@ -776,33 +797,38 @@ mod tests {
     }
 
     #[test]
-    fn pooled_executor_runs_on_a_sharded_topology() {
-        // Sequential and pooled are generic over the representation, so a
-        // sharded topology can be driven without the sharded executor too.
-        use crate::sharded::ShardedTopology;
+    fn parallel_mode_runs_on_a_sharded_topology() {
+        // The sequential executor is generic over the representation, and
+        // parallel mode re-shards whatever topology it is given, so a
+        // sharded topology runs under both execution modes.
         let n = 12;
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let dense = Topology::from_edges(n, &edges).unwrap();
         let g = ShardedTopology::from_topology(&dense, 3).unwrap();
         let mk = || (0..n).map(|_| GossipSum::new(3)).collect::<Vec<_>>();
         let seq = Simulator::new(&dense).run(mk());
-        let pooled = Simulator::with_config(&g, parallel_config(2)).run(mk());
-        assert_eq!(seq.outputs, pooled.outputs);
-        assert_eq!(seq.metrics.messages, pooled.metrics.messages);
+        for config in [SimulatorConfig::default(), parallel_config(2)] {
+            let out = Simulator::with_config(&g, config).run(mk());
+            assert_eq!(seq.outputs, out.outputs);
+            assert_eq!(seq.metrics.messages, out.metrics.messages);
+        }
     }
 
     #[test]
     fn custom_executor_seam_accepts_an_explicit_strategy() {
         let g = triangle();
-        let sim = Simulator::new(&g);
-        let pooled = crate::executor::PooledExecutor::new(2);
-        let via_seam = sim.run_with_executor(
+        let sharded = ShardedTopology::from_topology(&g, 2).unwrap();
+        let via_seam = Simulator::new(&sharded).run_with_executor(
             (0..3).map(|_| GossipSum::new(2)).collect::<Vec<_>>(),
-            &pooled,
+            &ShardedExecutor::new(),
         );
         let via_mode = Simulator::with_config(&g, parallel_config(2))
             .run((0..3).map(|_| GossipSum::new(2)).collect::<Vec<_>>());
         assert_eq!(via_seam.outputs, via_mode.outputs);
         assert_eq!(via_seam.metrics.messages, via_mode.metrics.messages);
+        assert_eq!(
+            via_seam.metrics.cross_shard_messages,
+            via_mode.metrics.cross_shard_messages
+        );
     }
 }

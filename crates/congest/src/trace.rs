@@ -80,15 +80,15 @@ impl TracePhase {
 /// One out-of-band observation of a run.  Stack-only (`Copy`), so emitting
 /// an event never allocates.
 ///
-/// `shard` is the reporting shard for sharded runs; the sequential and
-/// pooled executors report as shard 0.  All durations are nanoseconds.
+/// `shard` is the reporting shard for sharded runs; the sequential
+/// executor reports as shard 0.  All durations are nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A run began: node count and shard count (1 for unsharded executors).
     RunStart {
         /// Number of nodes in the topology.
         nodes: usize,
-        /// Number of shards (1 for the sequential / pooled executors).
+        /// Number of shards (1 for the sequential executor).
         shards: usize,
     },
     /// A run finished after `rounds` synchronous rounds.

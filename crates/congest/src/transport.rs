@@ -39,12 +39,14 @@
 //! the time spent flushing lands in
 //! [`RunMetrics::transport_flush_nanos`](crate::RunMetrics::transport_flush_nanos).
 //!
-//! # Deadlock discipline of the socket-loopback drain
+//! # Deadlock discipline of the socket drain
 //!
 //! All shards drain concurrently between two barriers, so a naive
 //! "write everything, then read everything" ordering can deadlock once
-//! frames outgrow the kernel socket buffers.  [`SocketTransport`] therefore
-//! drains in three strictly ordered steps:
+//! frames outgrow the kernel socket buffers.  The one socket drain —
+//! [`WorkerMesh`]'s, which [`SocketTransport`] runs once per shard and a
+//! remote worker runs on its direct mesh — therefore proceeds in three
+//! strictly ordered steps:
 //!
 //! 1. finish writing its own sealed frames, *reading opportunistically* so
 //!    peers are never blocked on a full buffer;
@@ -405,10 +407,9 @@ impl LoopbackStream {
     }
 }
 
-/// Per-(owner, peer) endpoint state.  Cell `links[owner * S + peer]` is
-/// touched only by the worker owning `owner` (the mutex exists to satisfy
-/// `Sync`, not because of contention): it writes `owner → peer` frames and
-/// reads `peer → owner` frames on the same duplex stream.
+/// Per-(owner, peer) endpoint state, held in the owner's [`WorkerMesh`]: it
+/// writes `owner → peer` frames and reads `peer → owner` frames on the same
+/// duplex stream.
 #[derive(Debug)]
 struct PeerLink {
     stream: LoopbackStream,
@@ -559,35 +560,24 @@ impl PeerLink {
 
 /// The socket-loopback transport: one kernel socket per shard pair, frames
 /// through the [`wire`](crate::wire) codec.  Built by [`SocketLoopback`].
+///
+/// Each shard owns one [`WorkerMesh`] over its socket ends, so staging,
+/// sealing and the drain are exactly the remote worker's.  Mesh `s` is
+/// touched only by the worker owning shard `s` (the mutex exists to satisfy
+/// `Sync`, not because of contention).
 #[derive(Debug)]
 pub struct SocketTransport<M> {
-    shards: usize,
-    /// `S × S` cells; the diagonal is `None`.
-    links: Vec<Option<Mutex<PeerLink>>>,
+    meshes: Vec<Mutex<WorkerMesh>>,
     _msg: PhantomData<fn(M) -> M>,
 }
 
 impl<M: TransportMessage> Transport<M> for SocketTransport<M> {
     fn stage(&self, from: usize, to: usize, slot: u32, sender: u32, msg: M) {
-        let mut link = self.link(from, to);
-        link.batch.push(slot, sender, &msg);
+        self.mesh(from).stage(to as u16, slot, sender, &msg);
     }
 
     fn flush(&self, from: usize, round: u64) -> u64 {
-        let mut bytes = 0;
-        for to in 0..self.shards {
-            if to == from {
-                continue;
-            }
-            let mut link = self.link(from, to);
-            debug_assert!(link.write_done(), "previous round left unwritten bytes");
-            let mut out = std::mem::take(&mut link.out);
-            bytes += link.batch.seal(round, from as u16, to as u16, &mut out);
-            link.out = out;
-            // Opportunistic write so the drain phase has less to do.
-            link.pump_out();
-        }
-        bytes
+        self.mesh(from).flush(round)
     }
 
     fn drain(
@@ -596,133 +586,17 @@ impl<M: TransportMessage> Transport<M> for SocketTransport<M> {
         round: u64,
         sink: &mut dyn FnMut(u32, u32, M),
     ) -> Result<(), TransportError> {
-        // Step 1: hand every byte we owe to the kernel, reading as we go so
-        // no peer ever stalls on a full buffer waiting for us.  When a pass
-        // over every peer makes no progress, the stall means some peer's
-        // socket buffer is full while that peer computes.  Spin briefly
-        // (short stalls resolve in a few sweeps), then stop burning the
-        // CPU the stalled peer needs — on oversubscribed machines a
-        // `yield_now` spinner competes with the very peer it waits for —
-        // and park in a bounded blocking write on one stalled link, letting
-        // the kernel wake us the moment space frees up.
-        let mut rotor = 0usize;
-        let mut idle = 0u32;
-        loop {
-            let mut stalled: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for peer in 0..self.shards {
-                if peer == to {
-                    continue;
-                }
-                let mut link = self.link(to, peer);
-                progressed |= link.pump_out();
-                if !link.write_done() {
-                    stalled.push(peer);
-                }
-                progressed |= link.pump_in();
-            }
-            if stalled.is_empty() {
-                break;
-            }
-            if progressed {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < SPIN_PASSES {
-                    std::thread::yield_now();
-                } else {
-                    // Rotate which stalled link we park on so one slow peer
-                    // cannot starve the others' readiness.
-                    let peer = stalled[rotor % stalled.len()];
-                    rotor += 1;
-                    self.link(to, peer).wait_out();
-                }
-            }
-        }
-        // Step 2: buffer raw bytes until one complete frame per peer is in
-        // hand, validating each frame's header the moment it materializes.
-        // This is where the "every round-r frame arrives before the round-r
-        // barrier" assumption is *checked* instead of assumed: a frame
-        // stamped with any other round — late, duplicated, or forged — is a
-        // typed [`TransportError`], not a decode-time surprise.  Decoding of
-        // payloads still waits for step 3 so peers can always finish their
-        // own step 1.
-        idle = 0;
-        loop {
-            let mut waiting: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for peer in 0..self.shards {
-                if peer == to {
-                    continue;
-                }
-                let mut link = self.link(to, peer);
-                if link.frame.is_some() {
-                    continue;
-                }
-                progressed |= link.pump_in();
-                match link.inbox.next_frame() {
-                    Ok(Some(frame)) => {
-                        if frame.header.kind != FrameKind::Data {
-                            return Err(TransportError::Protocol(format!(
-                                "expected a data frame from shard {peer}, got {:?}",
-                                frame.header.kind
-                            )));
-                        }
-                        frame.header.expect(round, peer as u16, to as u16)?;
-                        link.frame = Some(frame);
-                        progressed = true;
-                    }
-                    Ok(None) => waiting.push(peer),
-                    Err(e) => return Err(TransportError::Wire(e)),
-                }
-            }
-            if waiting.is_empty() {
-                break;
-            }
-            if progressed {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < SPIN_PASSES {
-                    std::thread::yield_now();
-                } else {
-                    // Same spin-then-park discipline as step 1, on the read
-                    // side: a bounded blocking read on one frame-less link —
-                    // the kernel wakes us the instant its bytes arrive, and
-                    // the peer we wait on gets the CPU in the meantime.
-                    let peer = waiting[rotor % waiting.len()];
-                    rotor += 1;
-                    self.link(to, peer).wait_in();
-                }
-            }
-        }
-        // Step 3: decode and deliver in sending-shard order (headers were
-        // already validated as the frames arrived).
-        for peer in 0..self.shards {
-            if peer == to {
-                continue;
-            }
-            let frame = self.link(to, peer).frame.take().expect("frame buffered");
-            for_each_data_entry::<M>(&frame.payload, &mut *sink)?;
-        }
-        Ok(())
+        self.mesh(to).exchange(round, sink)
     }
 
     fn syscall_batches(&self, from: usize) -> u64 {
-        (0..self.shards)
-            .filter(|&peer| peer != from)
-            .map(|peer| self.link(from, peer).writes)
-            .sum()
+        self.mesh(from).syscall_batches()
     }
 }
 
 impl<M> SocketTransport<M> {
-    fn link(&self, owner: usize, peer: usize) -> std::sync::MutexGuard<'_, PeerLink> {
-        self.links[owner * self.shards + peer]
-            .as_ref()
-            .expect("no link on the diagonal")
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn mesh(&self, shard: usize) -> std::sync::MutexGuard<'_, WorkerMesh> {
+        self.meshes[shard].lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -735,8 +609,7 @@ impl TransportBuilder for SocketLoopback {
     ) -> std::io::Result<SocketTransport<M>> {
         let shards = topology.num_shards();
         check_wire_shard_count(shards)?;
-        let mut links: Vec<Option<Mutex<PeerLink>>> = Vec::with_capacity(shards * shards);
-        links.resize_with(shards * shards, || None);
+        let mut links: Vec<Vec<(u16, PeerLink)>> = (0..shards).map(|_| Vec::new()).collect();
         let listener = match self.kind {
             LoopbackKind::Tcp => Some(std::net::TcpListener::bind("127.0.0.1:0")?),
             #[cfg(unix)]
@@ -759,15 +632,17 @@ impl TransportBuilder for SocketLoopback {
                         (LoopbackStream::Tcp(connect), LoopbackStream::Tcp(accept))
                     }
                 };
-                ea.set_nonblocking()?;
-                eb.set_nonblocking()?;
-                links[a * shards + b] = Some(Mutex::new(PeerLink::new(ea)));
-                links[b * shards + a] = Some(Mutex::new(PeerLink::new(eb)));
+                links[a].push((b as u16, PeerLink::new(ea)));
+                links[b].push((a as u16, PeerLink::new(eb)));
             }
         }
+        let meshes = links
+            .into_iter()
+            .enumerate()
+            .map(|(me, links)| WorkerMesh::from_links(me as u16, links).map(Mutex::new))
+            .collect::<std::io::Result<_>>()?;
         Ok(SocketTransport {
-            shards,
-            links,
+            meshes,
             _msg: PhantomData,
         })
     }
@@ -978,18 +853,22 @@ pub fn read_peers<L: Read>(
 // The direct worker↔worker data mesh
 // ---------------------------------------------------------------------------
 
-/// A full mesh of direct worker↔worker connections carrying the data frames
-/// of a remote run, so the coordinator only paces rounds.
+/// One shard's sockets to every other shard, carrying its data frames: the
+/// socket transport's drain.
+///
+/// A remote mesh worker connects one over TCP ([`WorkerMesh::connect`]) so
+/// the coordinator only paces rounds; [`SocketTransport`] holds one per
+/// shard over its in-process socket pairs.  Either way this is the only
+/// socket drain in the crate.
 ///
 /// Connection setup is deterministic: every worker *dials* the listed
 /// addresses of all lower shard indices (announcing its own shard index as
 /// a 2-byte handshake) and *accepts* one connection from each higher index,
 /// validating the announced indices.  Per round the mesh seals one data
 /// frame per peer — empty if nothing crossed that pair, so receivers always
-/// know how many frames to expect — and drains with the same three-step
-/// spin-then-park discipline as [`SocketLoopback`]'s in-process transport
-/// (see the [module docs](self)), which is deadlock-free once every worker's
-/// sealed bytes are handed to the kernel.
+/// know how many frames to expect — and drains with the three-step
+/// spin-then-park discipline of the [module docs](self), which is
+/// deadlock-free once every worker's sealed bytes are handed to the kernel.
 #[derive(Debug)]
 pub struct WorkerMesh {
     me: u16,
@@ -1047,6 +926,13 @@ impl WorkerMesh {
             }
             links.push((shard, PeerLink::new(LoopbackStream::Tcp(stream))));
         }
+        Self::from_links(me, links)
+    }
+
+    /// Assembles shard `me`'s mesh from its connected links, one per peer
+    /// shard: sorts them by peer index and switches every socket to
+    /// nonblocking mode.
+    fn from_links(me: u16, mut links: Vec<(u16, PeerLink)>) -> std::io::Result<Self> {
         links.sort_by_key(|&(shard, _)| shard);
         for (_, link) in &links {
             link.stream.set_nonblocking()?;
@@ -1087,8 +973,8 @@ impl WorkerMesh {
 
     /// Drains the round: finishes this worker's writes (reading
     /// opportunistically), buffers one header-validated frame per peer,
-    /// then decodes and delivers in ascending peer order — the same
-    /// three-step discipline as the in-process socket drain.
+    /// then decodes and delivers in ascending peer order — the three-step
+    /// discipline of the [module docs](self).
     ///
     /// # Errors
     ///
@@ -2572,8 +2458,8 @@ mod tests {
         assert_eq!(out.metrics.active_per_round, vec![n; 4]);
     }
 
-    /// A 2-shard socket transport plus direct access to shard 0's outbound
-    /// link, for forging raw frames onto the 0→1 wire.
+    /// A 2-shard socket transport; [`forge_frame`] reaches into shard 0's
+    /// mesh to forge raw frames onto the 0→1 wire.
     #[cfg(unix)]
     fn forged_pair() -> SocketTransport<u64> {
         let dense = ring(8);
@@ -2591,7 +2477,8 @@ mod tests {
             from: 0,
             to: 1,
         };
-        let mut link = t.link(0, 1);
+        let mut mesh = t.mesh(0);
+        let link = &mut mesh.links[0]; // shard 0's only peer: shard 1
         let mut out = std::mem::take(&mut link.out);
         crate::wire::frame_into(&mut out, header, payload);
         link.out = out;

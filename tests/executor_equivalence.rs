@@ -1,5 +1,5 @@
 //! Property-based executor equivalence: on random topologies with random
-//! halting schedules, the sequential, pooled and sharded executors — the
+//! halting schedules, the sequential executor and the sharded one — the
 //! latter under **every transport backend** (in-process staging queues and
 //! the wire-codec'd socket loopback) — must produce identical outputs,
 //! round counts and message accounting.
@@ -140,7 +140,7 @@ where
     );
     let runs = [
         (
-            "pooled",
+            "parallel",
             Simulator::with_config(
                 g,
                 SimulatorConfig {
@@ -249,7 +249,7 @@ proptest! {
         let shd = run_sharded(&g, &ttls, shards, dcme_congest::InProcess);
         let sock = run_sharded(&g, &ttls, shards, SocketLoopback::unix());
 
-        for (name, other) in [("pooled", &par), ("sharded", &shd), ("socket", &sock)] {
+        for (name, other) in [("parallel", &par), ("sharded", &shd), ("socket", &sock)] {
             prop_assert_eq!(&seq.outputs, &other.outputs, "{} outputs diverged", name);
             prop_assert_eq!(seq.metrics.rounds, other.metrics.rounds, "{} rounds", name);
             prop_assert_eq!(seq.metrics.messages, other.metrics.messages, "{} messages", name);
@@ -296,7 +296,7 @@ proptest! {
 
     /// Seeded randomized baselines (HNT ultrafast, D1LC degree+1): on random
     /// topologies, fixed-seed runs are bit-for-bit identical across the
-    /// sequential, pooled and sharded executors and both transport backends
+    /// sequential, parallel and sharded executors and both transport backends
     /// (the ISSUE 5 acceptance criterion, as a property).
     #[test]
     fn randomized_baselines_agree_across_executors_and_transports(
@@ -437,7 +437,7 @@ proptest! {
 
         let mut sinks = Vec::new();
         for mode in [ExecutionMode::Sequential, ExecutionMode::Parallel { threads }] {
-            let name = if mode == ExecutionMode::Sequential { "seq" } else { "pooled" };
+            let name = if mode == ExecutionMode::Sequential { "seq" } else { "parallel" };
             let sink = RecordingSink::new();
             let plain = run_with_mode(&g, &ttls, mode);
             let traced = Simulator::with_config(&g, config(mode))
